@@ -9,10 +9,10 @@ file every perf-minded PR compares against.
 
 Usage::
 
-    python benchmarks/perf_suite.py --quick --out BENCH_7.json
+    python benchmarks/perf_suite.py --quick --out BENCH_8.json
     python benchmarks/perf_suite.py                       # full matrix
     python benchmarks/perf_suite.py --quick \
-        --baseline BENCH_7.json --fail-threshold 2.0 \
+        --baseline BENCH_8.json --fail-threshold 2.0 \
         --telemetry-overhead-gate 3.0                     # CI gate
 
 ``--quick`` drops the large-workload scenarios and halves the repeat
@@ -328,7 +328,7 @@ def main(argv=None) -> int:
         description="IsoPredict solve-path performance suite"
     )
     parser.add_argument(
-        "--out", default="BENCH_7.json",
+        "--out", default="BENCH_8.json",
         help="output JSON path (default: %(default)s)",
     )
     parser.add_argument(

@@ -66,6 +66,17 @@ class CorpusEntry:
     meta: dict = field(default_factory=dict)
 
     # ------------------------------------------------------------------
+    @property
+    def pins_fingerprints(self) -> bool:
+        """Whether a replay must reach ``fingerprints`` exactly.
+
+        False for rows marked ``meta["replay"] == "verdict"``: their plan
+        still pins the status and prediction count, but the k predictions
+        an enumeration reaches first no longer include ``novel``, so their
+        ``fingerprints`` only record what the mining run reached.
+        """
+        return self.meta.get("replay") != "verdict"
+
     def witness_history(self) -> Optional[History]:
         """The minimized witness decoded back into a :class:`History`."""
         if self.witness is None:
@@ -190,7 +201,8 @@ def _reverifies(entry: CorpusEntry) -> bool:
     The same re-judging the regression suite applies
     (``tests/corpus/test_replay.py``): run the plan under the entry's
     isolation/seed/budget and require the identical verdict — status,
-    prediction count, and the full sorted fingerprint set.
+    prediction count, and (unless the row replays its verdict only) the
+    full sorted fingerprint set.
     """
     from ..api import Analysis
     from ..sources import FuzzSource
@@ -208,6 +220,8 @@ def _reverifies(entry: CorpusEntry) -> bool:
         return False
     if len(batch) != entry.predictions:
         return False
+    if not entry.pins_fingerprints:
+        return True
     fingerprints = tuple(
         sorted(set(batch_fingerprints(batch, session.history)))
     )

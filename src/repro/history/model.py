@@ -32,21 +32,30 @@ class Transaction:
     events: tuple[Event, ...]
     commit_pos: int
 
-    @property
+    # Derived views, computed once per instance: the encoder and checkers
+    # ask for them per transaction pair. cached_property stores into the
+    # instance __dict__ directly, so the frozen dataclass allows it, and
+    # eq/hash only ever see the fields.
+    @cached_property
     def reads(self) -> tuple[ReadEvent, ...]:
         return tuple(e for e in self.events if isinstance(e, ReadEvent))
 
-    @property
+    @cached_property
     def writes(self) -> tuple[WriteEvent, ...]:
         return tuple(e for e in self.events if isinstance(e, WriteEvent))
 
-    @property
+    @cached_property
     def read_keys(self) -> frozenset[str]:
         return frozenset(e.key for e in self.reads)
 
-    @property
+    @cached_property
     def write_keys(self) -> frozenset[str]:
         return frozenset(e.key for e in self.writes)
+
+    def __getstate__(self) -> dict:
+        # pickle the fields only, so a pickle does not depend on which
+        # derived views happened to be computed
+        return {k: v for k, v in self.__dict__.items() if k not in _DERIVED}
 
     def read_positions(self, key: Optional[str] = None) -> tuple[int, ...]:
         """``rdpos_k`` (or ``rdpos_*`` when ``key`` is None) from the paper."""
@@ -65,6 +74,9 @@ class Transaction:
 
     def is_read_only(self) -> bool:
         return not self.writes
+
+
+_DERIVED = frozenset({"reads", "writes", "read_keys", "write_keys"})
 
 
 class History:

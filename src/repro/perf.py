@@ -75,6 +75,7 @@ COUNTER_KEYS = (
     "theory_conflicts",
     "candidates",
     "predictions",
+    "pco_rounds",
 )
 
 #: Backend-specific counter prefixes/keys also captured into profiles.

@@ -16,7 +16,16 @@ from ..isolation.axioms import pco_cycle
 from ..obs import span as obs_span
 from ..isolation.checkers import is_serializable
 from ..isolation.levels import IsolationLevel
-from ..smt import BackendSpec, Result, Solver
+from ..smt import (
+    And,
+    BackendSpec,
+    Bool,
+    Expr,
+    Not,
+    Or,
+    Result,
+    Solver,
+)
 from .decode import decode_boundaries, decode_history
 from .encoder import Encoding
 from .strategies import Budget, BoundaryMode, EncodingMode, PredictionStrategy
@@ -247,37 +256,106 @@ class IsoPredict:
         ``encode_seconds`` (expression generation), ``compile_seconds``
         (Tseitin compilation into the SAT core) and their sum
         ``gen_seconds`` (the stat the paper's tables report).
+
+        With ``unser``, the stratified pco and an incremental backend the
+        encoding starts at one ww/rw round and the cycle goal waits behind
+        an activation literal; :meth:`_check` adds rounds up to
+        ``fixpoint_rounds`` on UNSAT. A clause-store backend re-solves
+        from scratch on every check, so it gets all rounds up front.
         """
+        timings = dict.fromkeys(
+            ("encode_seconds", "compile_seconds", "gen_seconds"), 0.0
+        )
         start = time.monotonic()
         with obs_span("stage.encode", unser=unser) as enc_span:
+            solver = Solver(backend=self.solver)
+            rounds = self.fixpoint_rounds
+            if (
+                unser
+                and self.pco_mode == "stratified"
+                and solver.backend.supports_push
+            ):
+                rounds = min(rounds, 1)
             enc = Encoding(
                 observed,
                 boundary=boundary,
                 include_rank=self.include_rank,
                 include_rw=self.include_rw,
                 pco_mode=self.pco_mode,
-                fixpoint_rounds=self.fixpoint_rounds,
+                fixpoint_rounds=rounds,
             )
-            solver = Solver(backend=self.solver)
             constraints = []
             constraints += enc.feasibility_constraints()
             if unser:
-                constraints += approx_unserializability_constraints(enc)
+                constraints += self._goal(enc)
             constraints += isolation_constraints(enc, self.isolation)
             constraints += enc.definitions()
-            enc_span.set(constraints=len(constraints))
-        encode_seconds = time.monotonic() - start
-        compile_start = time.monotonic()
-        with obs_span("stage.compile", unser=unser):
-            for c in constraints:
-                solver.add(c)
-        compile_seconds = time.monotonic() - compile_start
-        timings = {
-            "encode_seconds": encode_seconds,
-            "compile_seconds": compile_seconds,
-            "gen_seconds": encode_seconds + compile_seconds,
-        }
+            enc_span.set(constraints=len(constraints), round=enc.pco_rounds)
+        _add_seconds(timings, "encode_seconds", start)
+        _compile(solver, constraints, timings, unser=unser,
+                 round=enc.pco_rounds)
         return enc, solver, timings
+
+    def _goal(self, enc: Encoding) -> list[Expr]:
+        """The cycle goal at ``enc``'s top round, guarded below the cap."""
+        goal = approx_unserializability_constraints(enc)
+        guard = self._goal_guard(enc)
+        if guard is None:
+            return goal
+        return [_guarded(guard, g) for g in goal]
+
+    def _goal_guard(self, enc: Encoding) -> Optional[Expr]:
+        """The goal's activation literal while ``enc`` is below the cap."""
+        if 0 < enc.pco_rounds < self.fixpoint_rounds:
+            return Bool(f"goal@pco{enc.pco_rounds}")
+        return None
+
+    def _check(
+        self,
+        enc: Encoding,
+        solver: Solver,
+        timings: dict,
+        deadline: Optional[float] = None,
+    ) -> Result:
+        """Check ``solver``, encoding further pco rounds while UNSAT.
+
+        Below the cap the cycle goal is checked under its activation
+        literal. UNSAT there only says this round's pco has no cycle, so
+        the literal is asserted false, the next round and its goal are
+        added to the same solver, and the check repeats. Round r's closure
+        is contained in round r+1's, so a model at any round is a model
+        at the cap: SAT is final at once, UNSAT only at the cap.
+        """
+        while True:
+            budget = None
+            if deadline is not None:
+                budget = deadline - time.monotonic()
+                if budget <= 0:
+                    return Result.UNKNOWN
+            guard = self._goal_guard(enc)
+            status = solver.check(
+                max_conflicts=self.max_conflicts,
+                max_seconds=budget,
+                assumptions=() if guard is None else (guard,),
+            )
+            if status is not Result.UNSAT or guard is None:
+                return status
+            self._escalate(enc, solver, timings, guard)
+
+    def _escalate(
+        self, enc: Encoding, solver: Solver, timings: dict, guard: Expr
+    ) -> None:
+        """Retire ``guard`` and add the next pco round to ``solver``."""
+        round_no = enc.pco_rounds + 1
+        start = time.monotonic()
+        with obs_span("stage.encode", unser=True, round=round_no) as span:
+            constraints = [Not(guard), *enc.extend_pco(), *self._goal(enc)]
+            span.set(constraints=len(constraints))
+        _add_seconds(timings, "encode_seconds", start)
+        _compile(solver, constraints, timings, unser=True, round=round_no)
+        # the previous round's activities aim at its refuted goal; learned
+        # clauses and saved phases stay useful and are kept
+        solver.reset_activity()
 
     def _finish(
         self,
@@ -286,7 +364,9 @@ class IsoPredict:
         status: Result,
         timings: dict,
         candidates: int = 0,
+        pco_rounds: Optional[int] = None,
     ) -> PredictionResult:
+        """Package a verdict; ``pco_rounds`` defaults to ``enc``'s rounds."""
         stats = {
             "literals": solver.num_literals,
             "clauses": solver.num_clauses,
@@ -294,6 +374,9 @@ class IsoPredict:
             "solve_seconds": solver.check_seconds,
             "candidates": candidates,
             "backend": self.solver_name,
+            "pco_rounds": (
+                enc.pco_rounds if pco_rounds is None else pco_rounds
+            ),
         }
         stats.update(timings)
         stats.update(solver.stats)
@@ -329,9 +412,7 @@ class IsoPredict:
         self, observed: History, boundary: BoundaryMode
     ) -> PredictionResult:
         enc, solver, timings = self._build(observed, boundary, unser=True)
-        status = solver.check(
-            max_conflicts=self.max_conflicts, max_seconds=self.max_seconds
-        )
+        status = self._check(enc, solver, timings, self._deadline())
         return self._finish(enc, solver, status, timings)
 
     def _predict_exact(self, observed: History) -> PredictionResult:
@@ -354,6 +435,8 @@ class IsoPredict:
         )
         for key in ("encode_seconds", "compile_seconds", "gen_seconds"):
             timings[key] += seeded.stats.get(key, 0.0)
+        # the verdict's pco rounds are the approximate encoding's
+        pco_rounds = seeded.stats["pco_rounds"]
         candidates = 0
         while candidates < self.max_candidates:
             status = solver.check(
@@ -363,14 +446,14 @@ class IsoPredict:
             if status is not Result.SAT:
                 # candidate space exhausted: genuinely no prediction
                 return self._finish(
-                    enc, solver, status, timings, candidates
+                    enc, solver, status, timings, candidates, pco_rounds
                 )
             candidates += 1
             model = solver.model()
             predicted = decode_history(enc, model)
             if not is_serializable(predicted):
                 result = self._finish(
-                    enc, solver, Result.SAT, timings, candidates
+                    enc, solver, Result.SAT, timings, candidates, pco_rounds
                 )
                 return result
             solver.add(blocking_clause(enc, model))
@@ -382,6 +465,7 @@ class IsoPredict:
                 "literals": solver.num_literals,
                 "solve_seconds": solver.check_seconds,
                 "candidates": candidates,
+                "pco_rounds": pco_rounds,
                 **timings,
             },
         )
@@ -423,6 +507,7 @@ class PredictionEnumeration:
         self._phase_decode_seconds = 0.0
         self._phase_candidates = 0
         self._closed_stats: dict = {}
+        self._pco_rounds = 0  # the approximate phase's, never summed
 
     # -- phase management ----------------------------------------------
     def _open_phase(self, unser: bool) -> None:
@@ -454,6 +539,8 @@ class PredictionEnumeration:
         return stats
 
     def _close_phase(self) -> None:
+        if self._phase_unser:
+            self._pco_rounds = self._enc.pco_rounds
         for key, value in self._phase_stats().items():
             if isinstance(value, (int, float)):
                 self._closed_stats[key] = (
@@ -473,6 +560,11 @@ class PredictionEnumeration:
         for key, value in self._phase_stats().items():
             if isinstance(value, (int, float)):
                 merged[key] = merged.get(key, 0) + value
+        merged["pco_rounds"] = (
+            self._enc.pco_rounds
+            if self._solver is not None and self._phase_unser
+            else self._pco_rounds
+        )
         merged["predictions"] = len(self.predictions)
         return merged
 
@@ -501,14 +593,8 @@ class PredictionEnumeration:
             if self._solver is None:
                 # between phases: the unser walk drained, CEGIS pending
                 self._open_phase(unser=False)
-            budget = None
-            if deadline is not None:
-                budget = deadline - time.monotonic()
-                if budget <= 0:
-                    self._status = Result.UNKNOWN
-                    return
-            status = self._solver.check(
-                max_conflicts=self.analyzer.max_conflicts, max_seconds=budget
+            status = self.analyzer._check(
+                self._enc, self._solver, self._phase_timings, deadline
             )
             if status is Result.UNSAT:
                 if self._phase_unser and exact:
@@ -598,6 +684,33 @@ class PredictionEnumeration:
             predictions=predictions,
             stats=stats,
         )
+
+
+def _guarded(guard: Expr, constraint: Expr) -> Expr:
+    """``guard → constraint``, one clause per top-level clause.
+
+    A conjunction is guarded conjunct by conjunct, so the guarded goal
+    compiles to exactly as many clauses as the bare one.
+    """
+    if constraint.kind == "and":
+        return And(*[Or(Not(guard), c) for c in constraint.args])
+    return Or(Not(guard), constraint)
+
+
+def _add_seconds(timings: dict, key: str, start: float) -> None:
+    """Add the time since ``start`` to ``timings[key]`` and to the total."""
+    elapsed = time.monotonic() - start
+    timings[key] += elapsed
+    timings["gen_seconds"] += elapsed
+
+
+def _compile(solver: Solver, constraints: list, timings: dict, **attrs) -> None:
+    """Assert ``constraints`` into ``solver`` as one timed compile stage."""
+    start = time.monotonic()
+    with obs_span("stage.compile", **attrs):
+        for c in constraints:
+            solver.add(c)
+    _add_seconds(timings, "compile_seconds", start)
 
 
 def predict_unserializable(

@@ -410,9 +410,15 @@ class Encoding:
         cross-check against the graph fixpoint (see tests), and sound
         always. The rank-guarded variant remains available as
         ``pco_mode='rank'`` for the ablation benchmarks.
+
+        Round r's closure contains round r-1's, so a cycle at round r is a
+        cycle at every later round. :meth:`extend_pco` appends one more
+        round to a built encoding; :class:`repro.predict.IsoPredict` uses
+        it to solve round 1 first and encode later rounds, up to
+        ``fixpoint_rounds``, only while the cycle goal stays UNSAT.
         """
         self._built_pco = True
-        layers = self._doubling_depth()
+        self._layers = self._doubling_depth()
         # round 0: closure of so ∪ wr
         base = {
             (t1, t2): Or(
@@ -420,36 +426,56 @@ class Encoding:
             )
             for (t1, t2) in self.pairs()
         }
-        closure = self._close(base, layers, tag="p0")
-        last_ww: dict[tuple[str, str], Expr] = {}
-        last_rw: dict[tuple[str, str], Expr] = {}
+        self._pco = self._close(base, self._layers, tag="p0")
         for round_no in range(1, self.fixpoint_rounds + 1):
-            ww_r: dict[tuple[str, str], Expr] = {}
-            rw_r: dict[tuple[str, str], Expr] = {}
-            for (t1, t2) in self.pairs():
-                ww_var = Bool(f"ww{round_no}[{t1},{t2}]")
-                self._defs.append(
-                    Iff(ww_var, self._ww_from(t1, t2, closure))
-                )
-                ww_r[(t1, t2)] = ww_var
-                rw_var = Bool(f"rw{round_no}[{t1},{t2}]")
-                self._defs.append(
-                    Iff(rw_var, self._rw_from(t1, t2, closure))
-                )
-                rw_r[(t1, t2)] = rw_var
-            enriched = {
-                (t1, t2): Or(
-                    closure[(t1, t2)],
-                    ww_r[(t1, t2)],
-                    rw_r[(t1, t2)],
-                )
-                for (t1, t2) in self.pairs()
-            }
-            closure = self._close(enriched, layers, tag=f"q{round_no}")
-            last_ww, last_rw = ww_r, rw_r
-        self._pco = closure
-        self._ww = last_ww
-        self._rw = last_rw
+            self._add_round(round_no)
+
+    def extend_pco(self) -> list[Expr]:
+        """Append the next ww/rw round and its closure; return its definitions.
+
+        ``pco``/``ww``/``rw`` move to the new top round and
+        ``fixpoint_rounds`` grows by one. The returned definitions are also
+        kept in :meth:`definitions`.
+        """
+        if self.pco_mode != "stratified":
+            raise ValueError("only the stratified pco encoding has rounds")
+        if not self._built_pco:
+            self._build_pco()
+        start = len(self._defs)
+        self.fixpoint_rounds += 1
+        self._add_round(self.fixpoint_rounds)
+        return self._defs[start:]
+
+    @property
+    def pco_rounds(self) -> int:
+        """ww/rw rounds encoded in the stratified pco so far (0 if none)."""
+        if self.pco_mode != "stratified" or not self._built_pco:
+            return 0
+        return self.fixpoint_rounds
+
+    def _add_round(self, round_no: int) -> None:
+        """Round ``round_no``: ww/rw against the current closure, then close."""
+        closure = self._pco
+        ww_r: dict[tuple[str, str], Expr] = {}
+        rw_r: dict[tuple[str, str], Expr] = {}
+        for (t1, t2) in self.pairs():
+            ww_var = Bool(f"ww{round_no}[{t1},{t2}]")
+            self._defs.append(Iff(ww_var, self._ww_from(t1, t2, closure)))
+            ww_r[(t1, t2)] = ww_var
+            rw_var = Bool(f"rw{round_no}[{t1},{t2}]")
+            self._defs.append(Iff(rw_var, self._rw_from(t1, t2, closure)))
+            rw_r[(t1, t2)] = rw_var
+        enriched = {
+            (t1, t2): Or(
+                closure[(t1, t2)],
+                ww_r[(t1, t2)],
+                rw_r[(t1, t2)],
+            )
+            for (t1, t2) in self.pairs()
+        }
+        self._pco = self._close(enriched, self._layers, tag=f"q{round_no}")
+        self._ww = ww_r
+        self._rw = rw_r
 
     def _doubling_depth(self) -> int:
         n = max(2, len(self.tids) - 1)

@@ -108,6 +108,9 @@ class SolverBackend(Protocol):
     def core(self) -> Optional[list[int]]:
         """After UNSAT: assumptions that jointly conflict; None otherwise."""
 
+    def reset_activity(self) -> None:
+        """Zero decision-heuristic scores; keep learned clauses and phases."""
+
     def close(self) -> None:
         """Release external resources (processes, temp files)."""
 
@@ -287,6 +290,9 @@ class ClauseStoreBackend:
 
     def core(self) -> Optional[list[int]]:
         return self._core
+
+    def reset_activity(self) -> None:
+        """No-op: every solve already starts from a cold heuristic."""
 
     def close(self) -> None:  # pragma: no cover - trivial default
         pass

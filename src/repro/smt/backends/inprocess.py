@@ -37,6 +37,7 @@ class InProcessBackend:
         self.add_clause_trusted = self._sat.add_clause_trusted
         self.model_value = self._sat.model_value
         self.core = self._sat.core
+        self.reset_activity = self._sat.reset_activity
 
     @property
     def sat(self) -> SatSolver:

@@ -514,6 +514,22 @@ class SatSolver:
                 act[v] *= inv
             self._var_inc *= inv
 
+    def reset_activity(self) -> None:
+        """Zero every VSIDS activity; learned clauses and saved phases stay.
+
+        For a caller that grows the problem between solves: the activities
+        of the previous solve point the next one at the old problem's
+        conflict area. Ties in the rebuilt order heap break by variable
+        index, as in a fresh solver.
+        """
+        n = self._nvars
+        self._activity[:] = [0.0] * (n + 1)
+        self._heap_act[:] = [0.0] * (n + 1)
+        self._heap_live[:] = [False] + [True] * n
+        # sorted by var: already a valid heap
+        self._order[:] = [(0.0, v) for v in range(1, n + 1)]
+        self._var_inc = 1.0
+
     def _analyze(self, conflict: list[int]) -> tuple[list[int], int]:
         """1UIP analysis. Returns (learned clause, backjump level)."""
         level = self._level

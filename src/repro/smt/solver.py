@@ -181,10 +181,20 @@ class Solver:
         self,
         max_conflicts: Optional[int] = None,
         max_seconds: Optional[float] = None,
-        assumptions: Sequence[int] = (),
+        assumptions: Sequence["Expr | int"] = (),
     ) -> Result:
-        """Decide the asserted constraints; captures a model when SAT."""
+        """Decide the asserted constraints; captures a model when SAT.
+
+        ``assumptions`` hold for this check only: Boolean expressions
+        (compiled to a literal, defining clauses added) or raw signed SAT
+        literals. After UNSAT under assumptions the solver stays usable.
+        """
         start = time.monotonic()
+        if assumptions:
+            assumptions = [
+                a if isinstance(a, int) else self._compiler.literal(a)
+                for a in assumptions
+            ]
         with obs_span(
             "stage.solve", backend=getattr(self._backend, "name", "?")
         ) as solve_span:
@@ -266,6 +276,10 @@ class Solver:
     def core(self) -> Optional[list[int]]:
         """After UNSAT under assumptions: a conflicting assumption subset."""
         return self._backend.core()
+
+    def reset_activity(self) -> None:
+        """Forget the backend's decision heuristic scores (see backends)."""
+        self._backend.reset_activity()
 
     def close(self) -> None:
         """Release backend resources (subprocesses, temp files)."""

@@ -7,7 +7,9 @@ produced; this suite re-runs the analysis and asserts the verdict
 reproduces — on the in-memory backend and, extending the PR 5 equivalence
 invariant, on ``sharded:2`` and ``sqlite:`` as well. Shape fingerprints
 are portable by construction, so the *same* fingerprint set must come back
-wherever the plan executes.
+wherever the plan executes. Rows marked ``meta["replay"] == "verdict"``
+pin status and prediction count only: the first k predictions the solver
+reaches no longer include their mined shape (see ``docs/fuzzing.md``).
 """
 from pathlib import Path
 
@@ -45,6 +47,8 @@ def _assert_verdict(entry, session, batch):
 
     assert batch.status.value == entry.status
     assert len(batch) == entry.predictions
+    if not entry.pins_fingerprints:
+        return
     fingerprints = tuple(
         sorted(set(batch_fingerprints(batch, session.history)))
     )
@@ -69,6 +73,14 @@ class TestCorpusIsHealthy:
         assert any(
             entry.backend.startswith("sharded") for entry in CORPUS
         )
+
+    def test_fingerprint_pinning_rows_keep_the_diversity(self):
+        """Verdict-only rows must not become the only coverage of a
+        level or of the sharded backend."""
+        pinned = [entry for entry in CORPUS if entry.pins_fingerprints]
+        assert len(pinned) > len(CORPUS) // 2
+        assert {"causal", "ra", "rc"} <= {e.isolation for e in pinned}
+        assert any(e.backend.startswith("sharded") for e in pinned)
 
     @pytest.mark.parametrize("entry", CORPUS, ids=_IDS)
     def test_rows_are_canonical(self, entry):

@@ -398,6 +398,10 @@ class TestCorpusPromote:
         __import__("pathlib").Path(__file__).parent
         / "corpus" / "corpus.jsonl"
     )
+    #: every checked-in row carries a distinct novel shape
+    ALL_PROMOTED = "promoted {} ".format(
+        sum(1 for line in open(CORPUS) if line.strip())
+    )
 
     def test_promote_into_fresh_corpus(self, tmp_path, capsys):
         dest = tmp_path / "regression.jsonl"
@@ -407,7 +411,7 @@ class TestCorpusPromote:
         )
         assert code == 0
         out = capsys.readouterr().out
-        assert "promoted 12" in out
+        assert self.ALL_PROMOTED in out
         assert dest.exists()
         # promoting again is a no-op
         assert main(
@@ -427,7 +431,7 @@ class TestCorpusPromote:
             ["corpus", "promote", str(run_dir), "--dest", str(dest),
              "--no-verify", "--quiet"]
         ) == 0
-        assert "promoted 12" in capsys.readouterr().out
+        assert self.ALL_PROMOTED in capsys.readouterr().out
 
     def test_missing_source_errors(self, tmp_path, capsys):
         assert main(
