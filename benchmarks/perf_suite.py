@@ -9,17 +9,21 @@ file every perf-minded PR compares against.
 
 Usage::
 
-    python benchmarks/perf_suite.py --quick --out BENCH_8.json
+    python benchmarks/perf_suite.py --quick --out BENCH_9.json
     python benchmarks/perf_suite.py                       # full matrix
     python benchmarks/perf_suite.py --quick \
         --baseline BENCH_8.json --fail-threshold 2.0 \
         --telemetry-overhead-gate 3.0                     # CI gate
+    python benchmarks/perf_suite.py --sweep               # multi-seed totals
 
 ``--quick`` drops the large-workload scenarios and halves the repeat
 count; it still covers every mid-size scenario, which is the tier speedup
 targets are stated over. With ``--baseline`` the run exits non-zero when
 any shared scenario's median wall exceeds ``--fail-threshold`` times the
 baseline's (see :func:`repro.perf.compare_profiles`).
+
+``--sweep`` runs the multi-seed sweep instead of the matrix and prints
+its totals (see :data:`SWEEP_APPS`); it writes no file and gates nothing.
 
 Scenario walls measure the *analysis* (encode→compile→solve→decode via
 one cold :class:`repro.predict.IsoPredict` enumeration per run); history
@@ -28,7 +32,9 @@ recording happens once per scenario, outside the timed region.
 from __future__ import annotations
 
 import argparse
+import json
 import sys
+import time
 from pathlib import Path
 
 # Counters are comparable across runs and machines without any hash-seed
@@ -254,6 +260,51 @@ def run_stream_scenario(
     return run_measured(name, size, params, scenario=once, repeats=repeats)
 
 
+#: The multi-seed sweep: the four paper apps, record seeds 1-10, small
+#: histories, k=1, under two (isolation, strategy) configurations. Its
+#: per-(app, config) totals are the figure of merit for encoding and
+#: heuristic changes; one record seed alone can swing a counter 2x.
+SWEEP_APPS = ("smallbank", "voter", "tpcc", "wikipedia")
+SWEEP_SEEDS = range(1, 11)
+SWEEP_CONFIGS = (("causal", "approx-relaxed"), ("rc", "approx-strict"))
+
+
+def run_sweep(max_seconds: float) -> list[dict]:
+    """Total wall, propagations and conflicts per (app, config)."""
+    rows = []
+    for app in SWEEP_APPS:
+        histories = [
+            record_observed(_APPS[app](WorkloadConfig.small()), seed).history
+            for seed in SWEEP_SEEDS
+        ]
+        for isolation, strategy in SWEEP_CONFIGS:
+            row = {"app": app, "isolation": isolation, "strategy": strategy,
+                   "seeds": len(histories), "wall_s": 0.0,
+                   "propagations": 0, "conflicts": 0, "predictions": 0}
+            for history in histories:
+                analyzer = IsoPredict(
+                    IsolationLevel.parse(isolation),
+                    PredictionStrategy.parse(strategy),
+                    max_seconds=max_seconds,
+                )
+                start = time.monotonic()
+                batch = analyzer.predict_many(history, k=1)
+                row["wall_s"] += time.monotonic() - start
+                row["propagations"] += batch.stats.get("propagations", 0)
+                row["conflicts"] += batch.stats.get("conflicts", 0)
+                row["predictions"] += len(batch)
+            print(
+                f"{app:10} {isolation:6} {strategy:14} "
+                f"wall={row['wall_s']:7.2f}s "
+                f"props={row['propagations']:>10,} "
+                f"conflicts={row['conflicts']:>6,} "
+                f"predictions={row['predictions']}",
+                flush=True,
+            )
+            rows.append(row)
+    return rows
+
+
 #: The telemetry overhead pair (PR 8): the mid-size reference scenario
 #: measured back-to-back with telemetry off and on (spans + registry +
 #: trace export to a scratch file). Telemetry is opt-in and must stay
@@ -328,7 +379,7 @@ def main(argv=None) -> int:
         description="IsoPredict solve-path performance suite"
     )
     parser.add_argument(
-        "--out", default="BENCH_8.json",
+        "--out", default="BENCH_9.json",
         help="output JSON path (default: %(default)s)",
     )
     parser.add_argument(
@@ -367,7 +418,17 @@ def main(argv=None) -> int:
         "--fail-threshold", type=float, default=2.0,
         help="fail when a scenario exceeds this x baseline median",
     )
+    parser.add_argument(
+        "--sweep", action="store_true",
+        help="run only the multi-seed sweep and print its totals "
+             "(report only: no file, no gate)",
+    )
     args = parser.parse_args(argv)
+
+    if args.sweep:
+        rows = run_sweep(args.max_seconds)
+        print(json.dumps({"sweep": rows}, sort_keys=True))
+        return 0
 
     repeats = args.repeats or (2 if args.quick else 3)
 

@@ -22,6 +22,8 @@ from .corpus import (
     append_entry,
     load_corpus,
     promote_entries,
+    replay_entry,
+    replay_mismatches,
 )
 from .engine import FuzzConfig, FuzzReport, Fuzzer, fuzz
 from .feedback import (
@@ -50,6 +52,8 @@ __all__ = [
     "append_entry",
     "load_corpus",
     "promote_entries",
+    "replay_entry",
+    "replay_mismatches",
     "FuzzConfig",
     "FuzzReport",
     "Fuzzer",

@@ -11,6 +11,9 @@ everything needed to re-derive and re-judge it:
 * the **verdict**: batch status, prediction count, the sorted distinct
   shape fingerprints, and the one novel fingerprint that admitted the
   entry;
+* the **assignments**: for each fingerprint, the (choice, boundary)
+  assignment of one prediction that has it, so replay can pin the shapes
+  without depending on the order a search reaches predictions in;
 * the **witness**: the first novel prediction shrunk through
   ``minimize_witness`` into a gallery-sized reproducer (a version-1 trace
   document).
@@ -36,8 +39,11 @@ __all__ = [
     "CorpusEntry",
     "PromotionReport",
     "append_entry",
+    "assignments_for",
     "load_corpus",
     "promote_entries",
+    "replay_entry",
+    "replay_mismatches",
 ]
 
 #: Corpus row format version.
@@ -64,18 +70,20 @@ class CorpusEntry:
     root_shape_seed: Optional[int] = None
     iteration: Optional[int] = None
     meta: dict = field(default_factory=dict)
+    #: fingerprint -> ``{"choices": [[tid, pos, writer], ...],
+    #: "boundaries": {session: pos}}`` of one prediction with that shape
+    assignments: dict = field(default_factory=dict)
 
     # ------------------------------------------------------------------
     @property
     def pins_fingerprints(self) -> bool:
-        """Whether a replay must reach ``fingerprints`` exactly.
+        """Whether replay re-judges the row's shapes, not only its verdict.
 
-        False for rows marked ``meta["replay"] == "verdict"``: their plan
-        still pins the status and prediction count, but the k predictions
-        an enumeration reaches first no longer include ``novel``, so their
-        ``fingerprints`` only record what the mining run reached.
+        True when the row stores an assignment per fingerprint. Rows
+        without one pin status and prediction count only: their
+        ``fingerprints`` record what the mining run reached.
         """
-        return self.meta.get("replay") != "verdict"
+        return bool(self.assignments)
 
     def witness_history(self) -> Optional[History]:
         """The minimized witness decoded back into a :class:`History`."""
@@ -102,6 +110,7 @@ class CorpusEntry:
             "root_shape_seed": self.root_shape_seed,
             "iteration": self.iteration,
             "meta": self.meta,
+            "assignments": self.assignments,
         }
 
     @classmethod
@@ -129,6 +138,7 @@ class CorpusEntry:
             root_shape_seed=data.get("root_shape_seed"),
             iteration=data.get("iteration"),
             meta=dict(data.get("meta", {})),
+            assignments=dict(data.get("assignments", {})),
         )
 
     def line(self) -> str:
@@ -195,37 +205,102 @@ class PromotionReport:
         }
 
 
-def _reverifies(entry: CorpusEntry) -> bool:
-    """Replay one entry's recorded configuration; True iff it reproduces.
+def _assignment_doc(prediction) -> dict:
+    """A prediction's (choice, boundary) assignment as row JSON."""
+    return {
+        "choices": sorted(
+            [tid, pos, writer]
+            for (tid, pos), writer in prediction.choices.items()
+        ),
+        "boundaries": dict(sorted(prediction.boundaries.items())),
+    }
 
-    The same re-judging the regression suite applies
-    (``tests/corpus/test_replay.py``): run the plan under the entry's
-    isolation/seed/budget and require the identical verdict — status,
-    prediction count, and (unless the row replays its verdict only) the
-    full sorted fingerprint set.
+
+def assignments_for(fingerprints, batch, observed: History) -> dict:
+    """One assignment per fingerprint, from the first prediction with it.
+
+    Empty unless ``batch`` reaches every one of ``fingerprints``: a row
+    pins all of its shapes or none.
     """
+    from .feedback import shape_fingerprint
+
+    found: dict = {}
+    for prediction in batch.predictions:
+        fingerprint = shape_fingerprint(prediction, observed)
+        if fingerprint in fingerprints and fingerprint not in found:
+            found[fingerprint] = _assignment_doc(prediction)
+    return found if set(found) == set(fingerprints) else {}
+
+
+def replay_entry(entry: CorpusEntry, backend: Optional[str] = None):
+    """Re-run ``entry``'s recorded configuration: ``(history, batch)``."""
     from ..api import Analysis
     from ..sources import FuzzSource
-    from .feedback import batch_fingerprints
 
     session = Analysis(
-        FuzzSource(plan=entry.plan, seed=entry.record_seed)
+        FuzzSource(plan=entry.plan, seed=entry.record_seed),
+        backend=backend,
     ).under(entry.isolation)
-    kwargs = {"max_seconds": None}
-    if "max_conflicts" in entry.meta:
-        kwargs["max_conflicts"] = entry.meta["max_conflicts"]
-    session.using("approx-relaxed", **kwargs)
-    batch = session.predict(entry.k)
-    if batch.status.value != entry.status:
-        return False
-    if len(batch) != entry.predictions:
-        return False
-    if not entry.pins_fingerprints:
-        return True
-    fingerprints = tuple(
-        sorted(set(batch_fingerprints(batch, session.history)))
+    session.using(
+        "approx-relaxed",
+        max_seconds=None,
+        max_conflicts=entry.meta.get("max_conflicts"),
     )
-    return fingerprints == entry.fingerprints and entry.novel in fingerprints
+    return session.history, session.predict(entry.k)
+
+
+def replay_mismatches(entry: CorpusEntry, history: History, batch) -> list:
+    """How a replay differs from ``entry``'s record; empty if it reproduces.
+
+    The replay must reach the recorded status and prediction count. Each
+    stored assignment must still be a model of the approximate encoding
+    and decode to its fingerprint. That pins every shape to one
+    prediction, whatever order a search reaches the predictions in.
+    """
+    from ..isolation.levels import IsolationLevel
+    from ..predict import IsoPredict, PredictionStrategy
+    from .feedback import shape_fingerprint
+
+    problems = []
+    if batch.status.value != entry.status:
+        problems.append(f"status {batch.status.value}, recorded {entry.status}")
+    if len(batch) != entry.predictions:
+        problems.append(
+            f"{len(batch)} predictions, recorded {entry.predictions}"
+        )
+    analyzer = IsoPredict(
+        IsolationLevel.parse(entry.isolation),
+        PredictionStrategy.APPROX_RELAXED,
+        max_conflicts=entry.meta.get("max_conflicts"),
+    )
+    for fingerprint, doc in sorted(entry.assignments.items()):
+        choices = {(tid, pos): writer for tid, pos, writer in doc["choices"]}
+        result = analyzer.predict_assignment(
+            history, choices, doc["boundaries"]
+        )
+        if not result.found:
+            problems.append(f"{fingerprint}: assignment is no model")
+            continue
+        decoded = shape_fingerprint(result, history)
+        if decoded != fingerprint:
+            problems.append(f"{fingerprint}: assignment decodes to {decoded}")
+    return problems
+
+
+def _reverify(entry: CorpusEntry) -> bool:
+    """Replay one entry as the regression suite does; True iff it reproduces.
+
+    An entry without assignments gets them from the replay, so a promoted
+    row pins its shapes whenever the replay reaches all of them.
+    """
+    history, batch = replay_entry(entry)
+    if replay_mismatches(entry, history, batch):
+        return False
+    if not entry.assignments:
+        entry.assignments = assignments_for(
+            entry.fingerprints, batch, history
+        )
+    return True
 
 
 def promote_entries(
@@ -255,7 +330,7 @@ def promote_entries(
         if entry.novel in known_shapes or entry.id in known_ids:
             report.known.append(entry)
             continue
-        if verify and not _reverifies(entry):
+        if verify and not _reverify(entry):
             report.failed.append(entry)
             if log:
                 log(f"  {entry.id}: verdict did not reproduce — skipped")

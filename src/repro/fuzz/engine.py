@@ -41,6 +41,7 @@ from ..obs import (
 from .corpus import (
     CorpusEntry,
     append_entry,
+    assignments_for,
     load_corpus,
     make_witness_doc,
 )
@@ -314,6 +315,7 @@ class Fuzzer:
                 kernel, meta={"fingerprint": novel[0], "isolation": isolation}
             )
             break
+        fingerprints = tuple(sorted(set(batch_fingerprints(batch, observed))))
         entry = CorpusEntry(
             id=f"{plan.digest()}-{isolation}",
             plan=plan,
@@ -323,15 +325,14 @@ class Fuzzer:
             k=self.config.k,
             status=batch.status.value,
             predictions=len(batch),
-            fingerprints=tuple(
-                sorted(set(batch_fingerprints(batch, observed)))
-            ),
+            fingerprints=fingerprints,
             novel=novel[0],
             witness=witness,
             parent=parent.id if parent else None,
             trail=trail,
             iteration=self.iteration,
             meta={"max_conflicts": self.config.max_conflicts},
+            assignments=assignments_for(fingerprints, batch, observed),
         )
         self.finds.append(entry)
         if self.corpus_path is not None:

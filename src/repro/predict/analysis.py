@@ -31,6 +31,7 @@ from .encoder import Encoding
 from .strategies import Budget, BoundaryMode, EncodingMode, PredictionStrategy
 from .unserializability import (
     approx_unserializability_constraints,
+    assignment_literals,
     assignment_of,
     blocking_clause,
     blocking_clause_for,
@@ -55,6 +56,8 @@ class PredictionResult:
     strategy: PredictionStrategy
     predicted: Optional[History] = None
     boundaries: dict = field(default_factory=dict)
+    #: the model's writer for every read, by ``(tid, read position)``
+    choices: dict = field(default_factory=dict)
     cycle: list = field(default_factory=list)
     stats: dict = field(default_factory=dict)
 
@@ -392,6 +395,7 @@ class IsoPredict:
             model = solver.model()
             predicted = decode_history(enc, model)
             boundaries = decode_boundaries(enc, model)
+            choices = assignment_of(enc, model)[0]
         stats["decode_seconds"] = (
             stats.get("decode_seconds", 0.0)
             + time.monotonic()
@@ -403,9 +407,29 @@ class IsoPredict:
             strategy=self.strategy,
             predicted=predicted,
             boundaries=boundaries,
+            choices=choices,
             cycle=pco_cycle(predicted),
             stats=stats,
         )
+
+    def predict_assignment(
+        self, observed: History, choices: dict, boundaries: dict
+    ) -> PredictionResult:
+        """The approximate prediction at one fixed (choice, boundary) point.
+
+        ``choices`` maps ``(tid, read position)`` to a writer and
+        ``boundaries`` maps sessions to positions, as in
+        :attr:`PredictionResult.choices` and ``boundaries``. SAT means the
+        assignment is still a model of the approximate encoding, whatever
+        order a search would reach it in; UNSAT means it is not.
+        """
+        enc, solver, timings = self._build(
+            observed, self.strategy.boundary, unser=True
+        )
+        for literal in assignment_literals(enc, choices, boundaries):
+            solver.add(literal)
+        status = self._check(enc, solver, timings, self._deadline())
+        return self._finish(enc, solver, status, timings)
 
     # ------------------------------------------------------------------
     def _predict_approx(
@@ -497,7 +521,6 @@ class PredictionEnumeration:
         self.analyzer = analyzer
         self.observed = observed
         self.predictions: list[PredictionResult] = []
-        self._assignments: list = []
         self._status = Result.UNSAT  # verdict that stopped the last extension
         self._exhausted = False  # the whole candidate space is drained
         self._enc = None
@@ -508,6 +531,7 @@ class PredictionEnumeration:
         self._phase_candidates = 0
         self._closed_stats: dict = {}
         self._pco_rounds = 0  # the approximate phase's, never summed
+        self._released = False
 
     # -- phase management ----------------------------------------------
     def _open_phase(self, unser: bool) -> None:
@@ -515,8 +539,8 @@ class PredictionEnumeration:
             self.observed, self.analyzer.strategy.boundary, unser=unser
         )
         if not unser:
-            for choices, boundaries in self._assignments:
-                solver.add(blocking_clause_for(enc, choices, boundaries))
+            for p in self.predictions:
+                solver.add(blocking_clause_for(enc, p.choices, p.boundaries))
         self._enc, self._solver = enc, solver
         self._phase_unser = unser
         self._phase_timings = timings
@@ -577,7 +601,7 @@ class PredictionEnumeration:
         """
         if k < 1:
             raise ValueError("k must be >= 1")
-        if getattr(self, "_released", False):
+        if self._released:
             if len(self.predictions) >= k:
                 return  # already have them; nothing to extend
             raise RuntimeError(
@@ -617,6 +641,7 @@ class PredictionEnumeration:
                 with obs_span("stage.decode", candidate=self._phase_candidates,
                               part="boundaries"):
                     boundaries = decode_boundaries(self._enc, model)
+                    choices = assignment_of(self._enc, model)[0]
                 self._phase_decode_seconds += (
                     time.monotonic() - decode_start
                 )
@@ -627,11 +652,11 @@ class PredictionEnumeration:
                         strategy=self.analyzer.strategy,
                         predicted=predicted,
                         boundaries=boundaries,
+                        choices=choices,
                         cycle=pco_cycle(predicted),
                         stats={"candidates": self._total_candidates()},
                     )
                 )
-                self._assignments.append(assignment_of(self._enc, model))
             else:
                 rejected += 1
                 if rejected >= self.analyzer.max_candidates:
@@ -662,7 +687,7 @@ class PredictionEnumeration:
 
     @property
     def released(self) -> bool:
-        return getattr(self, "_released", False)
+        return self._released
 
     def batch(self, k: Optional[int] = None) -> PredictionBatch:
         """The first ``k`` predictions (all of them when ``k`` is None)."""

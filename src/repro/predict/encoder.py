@@ -10,7 +10,10 @@ functions over transaction pairs become:
   (``phi_wr_k``, ``phi_wr``, ``phi_wwcausal``, ``phi_wwrc``) — hash-consing
   shares the subterms across every use;
 * **named Boolean variables with Iff definitions** where the definition is
-  recursive (``phi_hb``, ``phi_pco``, ``phi_ww``, ``phi_rw``);
+  recursive (``phi_hb``, ``phi_pco``, ``phi_ww``, ``phi_rw``) — except
+  that a stratified pco/ww/rw pair whose definition folds to TRUE, FALSE
+  or one literal is that expression itself, so statically decided pairs
+  (session order, pairs with no possible path) never reach the SAT core;
 * **one-hot enum variables** for ``choice(s, i)`` and ``boundary(s)``;
 * **difference-logic integers** for ``rank`` and the commit orders.
 
@@ -403,6 +406,12 @@ class Encoding:
           (their §4.2.2 definitions, boundary guards included), then close
           again over the enriched edge set.
 
+        A pair whose definition folds to a constant or a single literal
+        keeps that expression instead of a variable (:meth:`_define`): a
+        session-ordered pair is TRUE in every layer and round, a pair with
+        no possible path is FALSE, and both fold on through the later
+        layers and the cycle goal.
+
         Stratification makes self-justifying edges (Fig. 6) structurally
         impossible: definitions only ever reference earlier strata. With
         ``fixpoint_rounds`` rounds the encoding realizes the LFP restricted
@@ -459,12 +468,12 @@ class Encoding:
         ww_r: dict[tuple[str, str], Expr] = {}
         rw_r: dict[tuple[str, str], Expr] = {}
         for (t1, t2) in self.pairs():
-            ww_var = Bool(f"ww{round_no}[{t1},{t2}]")
-            self._defs.append(Iff(ww_var, self._ww_from(t1, t2, closure)))
-            ww_r[(t1, t2)] = ww_var
-            rw_var = Bool(f"rw{round_no}[{t1},{t2}]")
-            self._defs.append(Iff(rw_var, self._rw_from(t1, t2, closure)))
-            rw_r[(t1, t2)] = rw_var
+            ww_r[(t1, t2)] = self._define(
+                f"ww{round_no}[{t1},{t2}]", self._ww_from(t1, t2, closure)
+            )
+            rw_r[(t1, t2)] = self._define(
+                f"rw{round_no}[{t1},{t2}]", self._rw_from(t1, t2, closure)
+            )
         enriched = {
             (t1, t2): Or(
                 closure[(t1, t2)],
@@ -490,23 +499,41 @@ class Encoding:
         layers: int,
         tag: str,
     ) -> dict[tuple[str, str], Expr]:
-        """Transitive closure of ``base`` by repeated squaring."""
+        """Transitive closure of ``base`` by repeated squaring.
+
+        Layer d's pair is ``prev(t1,t2) ∨ ⋁_t prev(t1,t) ∧ prev(t,t2)``
+        over layer d-1; a pair that folds to a literal gets no variable
+        in the layer (see :meth:`_define`).
+        """
         current = base
         for d in range(1, layers + 1):
             nxt: dict[tuple[str, str], Expr] = {}
             for (t1, t2) in self.pairs():
-                var = Bool(f"{tag}.c{d}[{t1},{t2}]")
                 chains = [
                     And(current[(t1, t)], current[(t, t2)])
                     for t in self.tids
                     if t not in (t1, t2)
                 ]
-                self._defs.append(
-                    Iff(var, Or(current[(t1, t2)], *chains))
+                nxt[(t1, t2)] = self._define(
+                    f"{tag}.c{d}[{t1},{t2}]",
+                    Or(current[(t1, t2)], *chains),
                 )
-                nxt[(t1, t2)] = var
             current = nxt
         return current
+
+    def _define(self, name: str, definition: Expr) -> Expr:
+        """The pair value ``definition``: itself if it folded to a literal.
+
+        A constant or single-literal definition is stored as is, so it
+        keeps folding through every later layer, round and the cycle goal;
+        anything larger gets the variable ``name`` and an ``Iff``.
+        """
+        lit = definition.args[0] if definition.kind == "not" else definition
+        if lit.is_atom or lit.kind in ("true", "false"):
+            return definition
+        var = Bool(name)
+        self._defs.append(Iff(var, definition))
+        return var
 
     def _ww_from(
         self, t1: str, t2: str, reach: dict[tuple[str, str], Expr]

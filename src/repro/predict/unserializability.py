@@ -23,6 +23,7 @@ from .encoder import Encoding
 
 __all__ = [
     "approx_unserializability_constraints",
+    "assignment_literals",
     "assignment_of",
     "blocking_clause",
     "blocking_clause_for",
@@ -141,14 +142,21 @@ def assignment_of(enc: Encoding, model) -> tuple[dict, dict]:
     return choices, boundaries
 
 
-def blocking_clause_for(
+def assignment_literals(
     enc: Encoding, choices: dict, boundaries: dict
-) -> Expr:
-    """A blocking clause from a key→value assignment (see ``assignment_of``)."""
-    fixed = [
+) -> list[Expr]:
+    """The literals fixing a key→value assignment (see ``assignment_of``)."""
+    return [
         enc.choice[key].eq(value) for key, value in choices.items()
     ] + [
         enc.boundary[session].eq(value)
         for session, value in boundaries.items()
     ]
+
+
+def blocking_clause_for(
+    enc: Encoding, choices: dict, boundaries: dict
+) -> Expr:
+    """A blocking clause from a key→value assignment (see ``assignment_of``)."""
+    fixed = assignment_literals(enc, choices, boundaries)
     return Or(*[Not(f) for f in fixed])

@@ -18,6 +18,7 @@ relations that are mostly static (e.g. ``phi_so`` is a constant per pair).
 """
 from __future__ import annotations
 
+import sys
 from typing import Iterable, Union
 
 from .errors import SortError
@@ -48,6 +49,10 @@ __all__ = [
 ]
 
 
+#: smallest table size at which an automatic sweep runs
+_MIN_SWEEP = 1 << 16
+
+
 class Expr:
     """A hash-consed expression node.
 
@@ -60,6 +65,8 @@ class Expr:
     __slots__ = ("kind", "args", "_hash")
 
     _table: dict[tuple, "Expr"] = {}
+    #: table size that triggers the next :meth:`sweep`
+    _sweep_at = _MIN_SWEEP
 
     def __new__(cls, kind: str, args: tuple):
         key = (kind, args)
@@ -71,7 +78,42 @@ class Expr:
         node.args = args
         node._hash = hash(key)
         cls._table[key] = node
+        if len(cls._table) >= cls._sweep_at:
+            cls.sweep()
         return node
+
+    @classmethod
+    def sweep(cls) -> int:
+        """Drop the nodes only the table references; return how many.
+
+        Runs on its own whenever the table doubles. Children are interned
+        before their parents, so walking the keys newest first frees a
+        whole dead subtree in one pass: dropping a parent releases its
+        ``args``, and with them its children's last references. Each key
+        leaves the walk's list as it is passed — a list still holding the
+        parents' keys would keep every child alive.
+
+        What "only the table" means in ``sys.getrefcount`` terms differs
+        between interpreter versions, so it is measured on a probe entry
+        that nothing else references, walked first. Expressions are built
+        on one thread; the sweep relies on that.
+        """
+        table = cls._table
+        probe = ("sweep-probe", ())
+        table[probe] = object.__new__(cls)
+        keys = list(table)
+        floor = None
+        freed = -1  # the probe
+        while keys:
+            key = keys.pop()
+            refs = sys.getrefcount(table[key])
+            if floor is None:
+                floor = refs
+            if refs <= floor:
+                del table[key]
+                freed += 1
+        cls._sweep_at = max(_MIN_SWEEP, 2 * len(table))
+        return freed
 
     def __hash__(self) -> int:
         return self._hash
@@ -447,5 +489,10 @@ def _render(e: Expr, depth: int = 0) -> str:
 
 
 def simplify_ops() -> int:
-    """Number of distinct interned nodes (useful in tests and stats)."""
+    """Number of live interned nodes (useful in tests and stats).
+
+    Sweeps first, so nodes no encoding, solver or caller holds any more
+    are not counted.
+    """
+    Expr.sweep()
     return len(Expr._table)

@@ -3,24 +3,24 @@
 ``tests/corpus/corpus.jsonl`` holds reproducers mined by the
 coverage-guided fuzzer (see ``docs/fuzzing.md`` for the mining recipe).
 Each row records the plan, the analysis configuration, and the verdict it
-produced; this suite re-runs the analysis and asserts the verdict
-reproduces — on the in-memory backend and, extending the PR 5 equivalence
-invariant, on ``sharded:2`` and ``sqlite:`` as well. Shape fingerprints
-are portable by construction, so the *same* fingerprint set must come back
-wherever the plan executes. Rows marked ``meta["replay"] == "verdict"``
-pin status and prediction count only: the first k predictions the solver
-reaches no longer include their mined shape (see ``docs/fuzzing.md``).
+produced; this suite re-runs the analysis and asserts the status and
+prediction count reproduce — on the in-memory backend and, extending the
+store-backend equivalence invariant, on ``sharded:2`` and ``sqlite:`` as
+well. Rows that store a (choice, boundary) assignment per fingerprint also
+pin their shapes: each assignment must still be a model and decode to its
+fingerprint on every backend. Shape fingerprints are portable by
+construction, so this holds wherever the plan executes, and it does not
+depend on which k predictions a search reaches first (see
+``docs/fuzzing.md``).
 """
 from pathlib import Path
 
 import pytest
 
-from repro.api import Analysis
-from repro.fuzz import load_corpus
+from repro.fuzz import load_corpus, replay_entry, replay_mismatches
 from repro.history import history_to_json
 from repro.isolation import is_serializable, pco_unserializable
 from repro.minimize import minimize_witness
-from repro.sources import FuzzSource
 
 CORPUS_PATH = Path(__file__).parent / "corpus.jsonl"
 CORPUS = load_corpus(CORPUS_PATH)
@@ -28,32 +28,9 @@ CORPUS = load_corpus(CORPUS_PATH)
 _IDS = [entry.id for entry in CORPUS]
 
 
-def _replay(entry, backend):
-    """Re-run the recorded analysis configuration on ``backend``."""
-    session = Analysis(
-        FuzzSource(plan=entry.plan, seed=entry.record_seed),
-        backend=backend,
-    ).under(entry.isolation)
-    session.using(
-        "approx-relaxed",
-        max_seconds=None,
-        max_conflicts=entry.meta["max_conflicts"],
-    )
-    return session, session.predict(entry.k)
-
-
-def _assert_verdict(entry, session, batch):
-    from repro.fuzz import batch_fingerprints
-
-    assert batch.status.value == entry.status
-    assert len(batch) == entry.predictions
-    if not entry.pins_fingerprints:
-        return
-    fingerprints = tuple(
-        sorted(set(batch_fingerprints(batch, session.history)))
-    )
-    assert fingerprints == entry.fingerprints
-    assert entry.novel in fingerprints
+def _assert_reproduces(entry, backend):
+    history, batch = replay_entry(entry, backend)
+    assert replay_mismatches(entry, history, batch) == []
 
 
 class TestCorpusIsHealthy:
@@ -81,6 +58,12 @@ class TestCorpusIsHealthy:
         assert len(pinned) > len(CORPUS) // 2
         assert {"causal", "ra", "rc"} <= {e.isolation for e in pinned}
         assert any(e.backend.startswith("sharded") for e in pinned)
+
+    @pytest.mark.parametrize("entry", CORPUS, ids=_IDS)
+    def test_pinning_rows_pin_every_fingerprint(self, entry):
+        if entry.pins_fingerprints:
+            assert set(entry.assignments) == set(entry.fingerprints)
+            assert entry.novel in entry.assignments
 
     @pytest.mark.parametrize("entry", CORPUS, ids=_IDS)
     def test_rows_are_canonical(self, entry):
@@ -116,17 +99,12 @@ class TestWitnesses:
 class TestReplay:
     @pytest.mark.parametrize("entry", CORPUS, ids=_IDS)
     def test_replays_on_inmemory(self, entry):
-        session, batch = _replay(entry, "inmemory")
-        _assert_verdict(entry, session, batch)
+        _assert_reproduces(entry, "inmemory")
 
     @pytest.mark.parametrize("entry", CORPUS, ids=_IDS)
     def test_replays_on_sharded(self, entry):
-        session, batch = _replay(entry, "sharded:2")
-        _assert_verdict(entry, session, batch)
+        _assert_reproduces(entry, "sharded:2")
 
     @pytest.mark.parametrize("entry", CORPUS, ids=_IDS)
     def test_replays_on_sqlite(self, entry, tmp_path):
-        session, batch = _replay(
-            entry, f"sqlite:{tmp_path / 'replay.sqlite'}"
-        )
-        _assert_verdict(entry, session, batch)
+        _assert_reproduces(entry, f"sqlite:{tmp_path / 'replay.sqlite'}")

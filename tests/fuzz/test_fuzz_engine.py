@@ -10,7 +10,14 @@ Two acceptance properties from the issue live here:
 """
 import pytest
 
-from repro.fuzz import FuzzConfig, Fuzzer, fuzz, load_corpus
+from repro.fuzz import (
+    FuzzConfig,
+    Fuzzer,
+    fuzz,
+    load_corpus,
+    replay_entry,
+    replay_mismatches,
+)
 from repro.isolation import pco_unserializable
 
 
@@ -59,6 +66,15 @@ class TestReproducibility:
             assert pco_unserializable(witness)
             assert entry.novel in entry.fingerprints
             assert entry.meta["max_conflicts"] == 20_000
+
+    def test_finds_pin_their_shapes_per_prediction(self, tmp_path):
+        report, _ = _run(tmp_path, "corpus.jsonl")
+        assert report.finds
+        for entry in report.finds:
+            assert set(entry.assignments) == set(entry.fingerprints)
+        for entry in report.finds[:3]:
+            history, batch = replay_entry(entry, entry.backend)
+            assert replay_mismatches(entry, history, batch) == []
 
     def test_perturbation_reaches_other_levels_and_backends(self, tmp_path):
         report, _ = _run(tmp_path, "corpus.jsonl", iterations=40)

@@ -4,7 +4,14 @@ from pathlib import Path
 
 import pytest
 
-from repro.fuzz import append_entry, load_corpus, promote_entries
+from repro.fuzz import (
+    append_entry,
+    batch_fingerprints,
+    load_corpus,
+    promote_entries,
+    replay_entry,
+)
+from repro.predict.encoder import INFINITY_POS
 
 REGRESSION = Path(__file__).parent.parent / "corpus" / "corpus.jsonl"
 
@@ -76,6 +83,41 @@ class TestPromotion:
         assert [e.id for e in report.promoted] == [entries[1].id]
         assert [e.id for e in load_corpus(dest)] == [entries[1].id]
         assert any("did not reproduce" in m for m in messages)
+
+    def test_promotion_records_assignments_from_the_replay(
+        self, tmp_path, entries
+    ):
+        # a pinned row whose replay still reaches all of its shapes
+        for entry in entries:
+            history, batch = replay_entry(entry)
+            if entry.pins_fingerprints and set(entry.fingerprints) <= set(
+                batch_fingerprints(batch, history)
+            ):
+                break
+        source = tmp_path / "finds.jsonl"
+        append_entry(source, replace(entry, assignments={}))
+        dest = tmp_path / "regression.jsonl"
+        report = promote_entries(source, dest)
+        assert [e.id for e in report.promoted] == [entry.id]
+        (promoted,) = load_corpus(dest)
+        assert set(promoted.assignments) == set(entry.fingerprints)
+
+    def test_a_broken_assignment_fails_verification(self, tmp_path, entries):
+        # uncut sessions: no model, or one whose fingerprint says cut=0
+        entry = next(
+            e for e in entries
+            if e.pins_fingerprints and "|cut=0" not in "".join(e.fingerprints)
+        )
+        broken = {
+            fingerprint: {**doc, "boundaries": dict.fromkeys(
+                doc["boundaries"], INFINITY_POS
+            )}
+            for fingerprint, doc in entry.assignments.items()
+        }
+        source = tmp_path / "finds.jsonl"
+        append_entry(source, replace(entry, assignments=broken))
+        report = promote_entries(source, tmp_path / "regression.jsonl")
+        assert [e.id for e in report.failed] == [entry.id]
 
     def test_verify_false_skips_the_replay(self, tmp_path, entries):
         broken = replace(
