@@ -9,10 +9,10 @@ file every perf-minded PR compares against.
 
 Usage::
 
-    python benchmarks/perf_suite.py --quick --out BENCH_9.json
+    python benchmarks/perf_suite.py --quick --out BENCH_10.json
     python benchmarks/perf_suite.py                       # full matrix
     python benchmarks/perf_suite.py --quick \
-        --baseline BENCH_8.json --fail-threshold 2.0 \
+        --baseline BENCH_10.json --fail-threshold 2.0 \
         --telemetry-overhead-gate 3.0                     # CI gate
     python benchmarks/perf_suite.py --sweep               # multi-seed totals
 
@@ -379,7 +379,7 @@ def main(argv=None) -> int:
         description="IsoPredict solve-path performance suite"
     )
     parser.add_argument(
-        "--out", default="BENCH_9.json",
+        "--out", default="BENCH_10.json",
         help="output JSON path (default: %(default)s)",
     )
     parser.add_argument(

@@ -27,7 +27,6 @@ themselves — see ``serve/metrics.py``.
 """
 from __future__ import annotations
 
-import http.server
 import json
 import os
 import threading
@@ -275,25 +274,35 @@ def reset_registry() -> None:
     get_registry().reset()
 
 
-class _MetricsHandler(http.server.BaseHTTPRequestHandler):
-    registry: MetricsRegistry = REGISTRY
+def _http_server(address: tuple, registry: MetricsRegistry):
+    """A threading HTTP server on ``address`` serving ``registry``.
 
-    def do_GET(self):  # noqa: N802 (stdlib handler naming)
-        if self.path.rstrip("/") in ("", "/metrics".rstrip("/"), "/metrics"):
-            body = self.registry.to_prometheus().encode()
-            self.send_response(200)
-            self.send_header(
-                "Content-Type", "text/plain; version=0.0.4; charset=utf-8"
-            )
-            self.send_header("Content-Length", str(len(body)))
-            self.end_headers()
-            self.wfile.write(body)
-        else:
-            self.send_response(404)
-            self.end_headers()
+    ``http.server`` is imported here, not at module level: it pulls in
+    ``socketserver``, ``http.client``, ``email`` and ``ssl``, which every
+    ``import repro`` would pay for while only ``watch --metrics-addr``
+    serves metrics.
+    """
+    import http.server
 
-    def log_message(self, format, *args):  # silence per-request stderr
-        pass
+    class _MetricsHandler(http.server.BaseHTTPRequestHandler):
+        def do_GET(self):  # noqa: N802 (stdlib handler naming)
+            if self.path.rstrip("/") in ("", "/metrics"):
+                body = registry.to_prometheus().encode()
+                self.send_response(200)
+                self.send_header(
+                    "Content-Type", "text/plain; version=0.0.4; charset=utf-8"
+                )
+                self.send_header("Content-Length", str(len(body)))
+                self.end_headers()
+                self.wfile.write(body)
+            else:
+                self.send_response(404)
+                self.end_headers()
+
+        def log_message(self, format, *args):  # silence per-request stderr
+            pass
+
+    return http.server.ThreadingHTTPServer(address, _MetricsHandler)
 
 
 class MetricsServer:
@@ -308,12 +317,7 @@ class MetricsServer:
         if not host:
             host = "127.0.0.1"
         self.registry = registry if registry is not None else get_registry()
-        handler = type(
-            "_BoundHandler", (_MetricsHandler,), {"registry": self.registry}
-        )
-        self._httpd = http.server.ThreadingHTTPServer(
-            (host, int(port)), handler
-        )
+        self._httpd = _http_server((host, int(port)), self.registry)
         self._thread = threading.Thread(
             target=self._httpd.serve_forever, daemon=True,
             name="isopredict-metrics",

@@ -13,7 +13,11 @@ functions over transaction pairs become:
   recursive (``phi_hb``, ``phi_pco``, ``phi_ww``, ``phi_rw``) — except
   that a stratified pco/ww/rw pair whose definition folds to TRUE, FALSE
   or one literal is that expression itself, so statically decided pairs
-  (session order, pairs with no possible path) never reach the SAT core;
+  (session order, pairs with no possible path) never reach the SAT core.
+  The stratified pco is closed by pivot elimination (Warshall): one layer
+  per transaction, at most n·(n−1)·(n−2) pair definitions per round. Each
+  definition compiles to a single Tseitin gate whose output is the pair's
+  own variable (:class:`repro.smt.cnf.CnfCompiler`);
 * **one-hot enum variables** for ``choice(s, i)`` and ``boundary(s)``;
 * **difference-logic integers** for ``rank`` and the commit orders.
 
@@ -391,17 +395,18 @@ class Encoding:
             self._build_pco_rank()
 
     def _build_pco_stratified(self) -> None:
-        """Least-fixpoint pco by stratified rounds and path doubling.
+        """Least-fixpoint pco by stratified rounds and pivot elimination.
 
         The paper's rank guards delegate well-foundedness to the SMT solver's
         integer reasoning, which a CDCL core without theory propagation
         explores very slowly (every rank atom is a blind decision). This
         encoding computes the same least fixpoint *structurally*:
 
-        * round 0: ``P = closure(so ∪ wr)`` by ``ceil(log2(n-1))`` layers of
-          path doubling — each layer is an Iff over the previous one, so
-          unit propagation evaluates the closure deterministically from the
-          choice variables, with no decisions;
+        * round 0: ``P = closure(so ∪ wr)`` by one pivot layer per
+          transaction (Warshall's algorithm, :meth:`_close`) — each updated
+          pair is an Iff over the layer before, so unit propagation
+          evaluates the closure deterministically from the choice
+          variables, with no decisions;
         * round r: derive ``ww_r``/``rw_r`` against the round r-1 closure
           (their §4.2.2 definitions, boundary guards included), then close
           again over the enriched edge set.
@@ -427,7 +432,6 @@ class Encoding:
         ``fixpoint_rounds``, only while the cycle goal stays UNSAT.
         """
         self._built_pco = True
-        self._layers = self._doubling_depth()
         # round 0: closure of so ∪ wr
         base = {
             (t1, t2): Or(
@@ -435,7 +439,7 @@ class Encoding:
             )
             for (t1, t2) in self.pairs()
         }
-        self._pco = self._close(base, self._layers, tag="p0")
+        self._pco = self._close(base, tag="p0")
         for round_no in range(1, self.fixpoint_rounds + 1):
             self._add_round(round_no)
 
@@ -482,43 +486,48 @@ class Encoding:
             )
             for (t1, t2) in self.pairs()
         }
-        self._pco = self._close(enriched, self._layers, tag=f"q{round_no}")
+        self._pco = self._close(enriched, tag=f"q{round_no}")
         self._ww = ww_r
         self._rw = rw_r
 
-    def _doubling_depth(self) -> int:
-        n = max(2, len(self.tids) - 1)
-        depth = 1
-        while (1 << depth) < n:
-            depth += 1
-        return depth
-
     def _close(
-        self,
-        base: dict[tuple[str, str], Expr],
-        layers: int,
-        tag: str,
+        self, base: dict[tuple[str, str], Expr], tag: str
     ) -> dict[tuple[str, str], Expr]:
-        """Transitive closure of ``base`` by repeated squaring.
+        """Transitive closure of ``base`` by pivot elimination (Warshall).
 
-        Layer d's pair is ``prev(t1,t2) ∨ ⋁_t prev(t1,t) ∧ prev(t,t2)``
-        over layer d-1; a pair that folds to a literal gets no variable
-        in the layer (see :meth:`_define`).
+        Pivot k (the d-th of ``tids``) makes each pair ``(i, j)`` with
+        ``k ∉ {i, j}`` the pair ``P(i,j) ∨ (P(i,k) ∧ P(k,j))`` of the
+        layer before, named ``{tag}.c{d}[i,j]``; after the last pivot
+        every pair is its closure. Pairs that involve k do not change in
+        k's layer, so the update is in place, and a pair whose chain folds
+        to FALSE keeps its value. That skips every pivot nothing reaches,
+        such as ``t0`` in round 0. A pair that folds to a literal gets no
+        variable (see :meth:`_define`).
         """
-        current = base
-        for d in range(1, layers + 1):
-            nxt: dict[tuple[str, str], Expr] = {}
-            for (t1, t2) in self.pairs():
-                chains = [
-                    And(current[(t1, t)], current[(t, t2)])
-                    for t in self.tids
-                    if t not in (t1, t2)
-                ]
-                nxt[(t1, t2)] = self._define(
-                    f"{tag}.c{d}[{t1},{t2}]",
-                    Or(current[(t1, t2)], *chains),
-                )
-            current = nxt
+        current = dict(base)
+        for d, k in enumerate(self.tids, start=1):
+            into = [
+                (i, current[(i, k)])
+                for i in self.tids
+                if i != k and current[(i, k)] is not FALSE
+            ]
+            if not into:
+                continue
+            out = [
+                (j, current[(k, j)])
+                for j in self.tids
+                if j != k and current[(k, j)] is not FALSE
+            ]
+            for i, into_k in into:
+                for j, out_of_k in out:
+                    if i == j or current[(i, j)] is TRUE:
+                        continue
+                    chain = And(into_k, out_of_k)
+                    if chain is FALSE:
+                        continue
+                    current[(i, j)] = self._define(
+                        f"{tag}.c{d}[{i},{j}]", Or(current[(i, j)], chain)
+                    )
         return current
 
     def _define(self, name: str, definition: Expr) -> Expr:

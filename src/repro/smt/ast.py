@@ -195,7 +195,7 @@ def _complement_of(e: Expr) -> "Expr | None":
 def And(*es: Expr) -> Expr:
     """Conjunction with flattening, deduplication and constant folding."""
     if len(es) == 2:
-        # fast path for the dominant binary case (path-doubling chains)
+        # fast path for the dominant binary case (pco closure chains)
         a, b = es
         if (
             type(a) is Expr

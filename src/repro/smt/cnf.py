@@ -13,13 +13,15 @@ The compiler walks the hash-consed DAG once per distinct node, emitting:
 
 Top-level assertions are destructured: conjunctions assert each conjunct,
 and disjunctions of literals become plain clauses, so no auxiliary variable
-is wasted on the outermost structure.
+is wasted on the outermost structure. A definition ``Iff(v, D)`` whose
+And/Or ``D`` is not compiled yet becomes ``D``'s gate with ``v`` as its
+output, instead of a gate plus two clauses linking it to ``v``.
 """
 from __future__ import annotations
 
 from typing import Optional
 
-from .ast import Expr, EnumVar, FALSE, TRUE
+from .ast import Expr, EnumVar, FALSE, Iff, TRUE
 from .difference import DifferenceTheory
 from .sat import SatSolver
 
@@ -50,6 +52,8 @@ class CnfCompiler:
             self._sat.add_clause([])  # marks the solver unsat
             return
         if e.kind == "and":
+            if len(e.args) == 2 and self._assert_definition(e):
+                return
             for arg in e.args:
                 self.assert_expr(arg)
             return
@@ -59,16 +63,67 @@ class CnfCompiler:
                 cache[arg] if arg in cache else self.literal(arg)
                 for arg in e.args
             ]
-            self._emit(lits)
+            self._emit(lits, _distinct(lits))
             return
         self._emit([self.literal(e)])
 
-    def _emit(self, lits: list[int]) -> None:
-        # compiler-emitted clauses are duplicate- and tautology-free by
-        # construction (connectives dedupe and complement-fold their
-        # arguments; distinct atoms compile to distinct variables)
+    def _assert_definition(self, e: Expr) -> bool:
+        """Compile ``Iff(v, D)`` as D's gate with ``v`` as its output.
+
+        ``Iff(v, D)`` is ``And(Or(Not(v), D), Or(Not(D), v))``. Compiled
+        as two clauses it costs a gate variable for D plus two clauses
+        linking it to v; when D (an And/Or) has no literal yet, v itself
+        can be the gate, and D is cached as v. Whether v was compiled
+        before does not matter. Returns False, leaving ``e`` to the
+        general path, when ``e`` is not of this shape, D is compiled
+        already, or v is one of D's own arguments.
+        """
+        back = e.args[1]
+        if back.kind != "or" or len(back.args) != 2:
+            return False
+        neg, v = back.args
+        if v.kind != "var" or neg.kind != "not":
+            return False
+        d = neg.args[0]
+        kind = d.kind
+        if (
+            (kind != "and" and kind != "or")
+            or d in self._lit_cache
+            or Iff(v, d) is not e
+        ):
+            return False
+        g = self.literal(v)
+        child_lits = [self.literal(a) for a in d.args]
+        if g in child_lits or -g in child_lits:
+            return False
+        self._gate(kind, g, child_lits)
+        self._lit_cache[d] = g
+        return True
+
+    def _gate(self, kind: str, g: int, child_lits: list[int]) -> None:
+        """Emit the defining clauses of ``g ↔ kind(child_lits)``."""
+        emit = self._emit
+        clean = _distinct(child_lits)
+        if kind == "and":
+            for cl in child_lits:
+                emit([-g, cl], clean)
+            emit([g] + [-cl for cl in child_lits], clean)
+        else:
+            for cl in child_lits:
+                emit([g, -cl], clean)
+            emit([-g] + child_lits, clean)
+
+    def _emit(self, lits: list[int], clean: bool = True) -> None:
+        # Connectives dedupe and complement-fold their arguments, and
+        # distinct atoms compile to distinct variables, so a clause repeats
+        # a variable only where _assert_definition made two expressions
+        # share one literal. Such a clause (not ``clean``) goes through
+        # add_clause, which drops repeats and tautologies.
         self.num_literals += len(lits)
-        self._sat.add_clause_trusted(lits)
+        if clean:
+            self._sat.add_clause_trusted(lits)
+        else:
+            self._sat.add_clause(lits)
 
     # ------------------------------------------------------------------
     def literal(self, e: Expr) -> int:
@@ -113,14 +168,7 @@ class CnfCompiler:
                 child_lits.append(cl)
             else:
                 g = self._sat.new_var()
-                if kind == "and":
-                    for cl in child_lits:
-                        self._emit([-g, cl])
-                    self._emit([g] + [-cl for cl in child_lits])
-                else:
-                    for cl in child_lits:
-                        self._emit([g, -cl])
-                    self._emit([-g] + child_lits)
+                self._gate(kind, g, child_lits)
                 cache[e] = g
                 return g
         _ENTER, _EXIT = 0, 1
@@ -148,15 +196,7 @@ class CnfCompiler:
                     cache[node] = -cache[node.args[0]]
                     continue
                 g = gates.pop(node)
-                child_lits = [cache[a] for a in node.args]
-                if kind == "and":
-                    for cl in child_lits:
-                        self._emit([-g, cl])
-                    self._emit([g] + [-cl for cl in child_lits])
-                else:  # or
-                    for cl in child_lits:
-                        self._emit([g, -cl])
-                    self._emit([-g] + child_lits)
+                self._gate(kind, g, [cache[a] for a in node.args])
                 cache[node] = g
         return cache[e]
 
@@ -239,3 +279,11 @@ class CnfCompiler:
         if val is None:
             return None
         return val if lit > 0 else not val
+
+
+def _distinct(lits: list[int]) -> bool:
+    """Do ``lits`` mention pairwise-distinct variables?"""
+    if len(lits) == 2:
+        a, b = lits
+        return a != b and a != -b
+    return len({lit if lit > 0 else -lit for lit in lits}) == len(lits)

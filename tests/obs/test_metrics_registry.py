@@ -1,6 +1,10 @@
 """Registry: typed metrics, deterministic merge, sidecars, Prometheus."""
 import json
+import os
+import subprocess
+import sys
 import urllib.request
+from pathlib import Path
 
 import pytest
 
@@ -153,3 +157,19 @@ class TestPrometheus:
                 )
         finally:
             server.stop()
+
+    def test_import_leaves_the_http_server_out(self):
+        # the metrics endpoint imports http.server when it starts, so a
+        # plain import of the package and its CLI does not pay for it
+        src = str(Path(__file__).resolve().parents[2] / "src")
+        env = dict(os.environ, PYTHONPATH=src)
+        probe = (
+            "import sys, repro, repro.cli; "
+            "print(sorted(m for m in ('http.server', 'socketserver') "
+            "if m in sys.modules))"
+        )
+        out = subprocess.run(
+            [sys.executable, "-c", probe], env=env, check=True,
+            capture_output=True, text=True,
+        ).stdout
+        assert out.strip() == "[]"
